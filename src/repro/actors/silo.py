@@ -98,8 +98,11 @@ class Activation:
         #: Set when the hosting silo crashes: the worker stops, queued
         #: work is re-placed and late replies are suppressed.
         self.defunct = False
-        #: Messages currently being executed (≤1 unless reentrant).
-        self.inflight: set[Message] = set()
+        #: Messages currently being executed (≤1 unless reentrant), in
+        #: start order: a crash fails their promises in this order, so
+        #: it must not depend on object addresses (``Message`` hashes
+        #: by identity).
+        self.inflight: dict[Message, None] = {}
         self._timers: list["Event"] = []
         grain.activation = self
         env.process(self._start(), name=f"activate:{grain!r}")
@@ -187,11 +190,11 @@ class Activation:
 
     def _execute(self, message: Message):
         grain = self.grain
-        self.inflight.add(message)
+        self.inflight[message] = None
         try:
             yield from self._execute_inner(message, grain)
         finally:
-            self.inflight.discard(message)
+            self.inflight.pop(message, None)
 
     def _execute_inner(self, message: Message, grain: "Grain"):
         # Charge the method's CPU cost on this silo's cores.

@@ -183,6 +183,36 @@ class TestCrash:
         assert env.run(until=queued) > 0.1
         assert cluster.membership.reroutes >= 1
 
+    def test_crash_fails_inflight_reentrant_calls_in_start_order(self):
+        """A crash fails mid-execution promises in the order the calls
+        started, never in an object-address order."""
+        class Interleaved(Grain):
+            reentrant = True
+
+            def work(self, duration):
+                yield self.env.timeout(duration)
+                return self.env.now
+
+        env, cluster = make_cluster()
+        victim = cluster.silos[0]
+        key = keys_on(cluster, Interleaved, victim,
+                      [f"r{i}" for i in range(40)])[0]
+        ref = cluster.grain_ref(Interleaved, key)
+        failed = []
+        started = []
+        for tag in range(12):
+            promise = ref.call("work", 1.0)
+            promise.callbacks.append(
+                lambda event, tag=tag: failed.append(tag))
+            promise.defuse()
+            started.append(tag)
+            env.run(until=env.now + 0.001)  # it is mid-execution now
+        activation = next(iter(victim.activations.values()))
+        assert len(activation.inflight) == len(started)
+        cluster.crash_silo(victim)
+        env.run(until=env.now + 0.01)
+        assert failed == started
+
     def test_crash_twice_rejected(self):
         env, cluster = make_cluster()
         cluster.crash_silo("silo-0")
