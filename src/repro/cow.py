@@ -24,6 +24,12 @@ views and O(dirty) installs:
     result is isolated from later mutations of the source.  Cost is
     O(touched part), not O(state).
 
+``updates_view``
+    Decorator that lets one state transition, written as in-place
+    mutation of a ``CowState``, serve both view holders (updated in
+    place) and plain-dict holders (wrapped on entry, materialised on
+    exit, input untouched).
+
 ``clone(value)``
     A fully detached deep clone specialised for plain-data trees.  It
     does the same job ``copy.deepcopy`` did in the checkpoint path at
@@ -51,6 +57,7 @@ The operator-facing version of this contract lives in
 
 from __future__ import annotations
 
+import functools
 import typing
 from collections.abc import MutableMapping, MutableSequence
 
@@ -266,24 +273,23 @@ class CowState(MutableMapping):
         return False
 
     def _materialize(self):
+        """Plain dict of the view: one C-level copy of the base, then
+        the overlay applied to it — O(dirty keys) Python work.
+
+        Keys keep their base positions (a written or re-added base key
+        stays where it was, a deleted one is dropped) and keys new to
+        the base follow in the order they were first written.
+        """
         if not self.dirty:
             return self._base
-        written = self._written
-        wrapped = self._wrapped
-        base = self._base
-        out = {}
-        for key in base:
-            if key in written:
-                value = written[key]
-                if value is _DELETED:
-                    continue
-                out[key] = materialize(value)
-            elif key in wrapped:
-                out[key] = wrapped[key]._materialize()
+        out = dict(self._base)
+        for key, view in self._wrapped.items():
+            if view.dirty:
+                out[key] = view._materialize()
+        for key, value in self._written.items():
+            if value is _DELETED:
+                del out[key]
             else:
-                out[key] = base[key]
-        for key, value in written.items():
-            if key not in base and value is not _DELETED:
                 out[key] = materialize(value)
         return out
 
@@ -500,6 +506,30 @@ def materialize(value):
     if kind is set:
         return set(value)
     return value
+
+
+def updates_view(transition):
+    """Decorator for a state transition written against a view.
+
+    ``transition(state, *args)`` mutates ``state`` in place and returns
+    it, alone or as the first item of a tuple.  Given a
+    :class:`CowState` it does exactly that, so the caller's view records
+    only the touched keys and materialising it later costs O(dirty
+    keys).  Given a plain dict, the dict is wrapped in a view on entry
+    and the returned state materialised on exit: the caller gets a new
+    plain dict that shares untouched sub-trees with the input, and the
+    input itself is never mutated.
+    """
+    @functools.wraps(transition)
+    def update(state, *args, **kwargs):
+        if type(state) is CowState:
+            return transition(state, *args, **kwargs)
+        result = transition(CowState(state), *args, **kwargs)
+        if type(result) is tuple:
+            return (materialize(result[0]),) + result[1:]
+        return materialize(result)
+
+    return update
 
 
 def clone(value):

@@ -17,6 +17,8 @@ measures (duplicate internal orders, orphaned registrations).
 
 from __future__ import annotations
 
+from repro.cow import updates_view
+
 
 def shard_key(platform: str, shop_id: int) -> str:
     """Registry partition key: one shard per sales channel + shop."""
@@ -38,6 +40,7 @@ def lookup(state: dict, key: str) -> str | None:
     return state["entries"].get(key)
 
 
+@updates_view
 def register(state: dict, key: str) -> tuple[dict, str, bool]:
     """Claim ``key``; returns (state, internal order id, created?).
 
@@ -45,15 +48,15 @@ def register(state: dict, key: str) -> tuple[dict, str, bool]:
     sequence; a known key returns the originally assigned id untouched
     — the idempotent path.
     """
-    existing = state["entries"].get(key)
+    entries = state["entries"]
+    existing = entries.get(key)
     if existing is not None:
         return state, existing, False
     sequence = state["next_seq"]
     order_id = f"x{state['shard'].replace('/', '.')}-{sequence:05d}"
-    entries = dict(state["entries"])
     entries[key] = order_id
-    return ({**state, "entries": entries, "next_seq": sequence + 1},
-            order_id, True)
+    state["next_seq"] = sequence + 1
+    return state, order_id, True
 
 
 def registered_keys(state: dict) -> dict:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import typing
 
+from repro.cow import updates_view
 from repro.marketplace.constants import OrderStatus
 from repro.marketplace.logic import lifecycle
 
@@ -18,6 +19,7 @@ def new_customer_orders(customer_id: int) -> dict:
     return {"customer_id": customer_id, "next_order": 1, "orders": {}}
 
 
+@updates_view
 def assemble(state: dict, order_id: str, confirmed_items: list[dict],
              now: float, ext: str | None = None) -> tuple[dict, dict]:
     """Create an order from the stock-confirmed items.
@@ -49,9 +51,9 @@ def assemble(state: dict, order_id: str, confirmed_items: list[dict],
     }
     if ext is not None:
         order["ext"] = ext
-    orders = dict(state["orders"])
-    orders[order_id] = order
-    return {**state, "next_order": sequence + 1, "orders": orders}, order
+    state["orders"][order_id] = order
+    state["next_order"] = sequence + 1
+    return state, order
 
 
 def _subtotal(item: typing.Mapping) -> int:
@@ -65,6 +67,7 @@ def seller_ids(order: dict) -> list[int]:
     return sorted({item["seller_id"] for item in order["items"]})
 
 
+@updates_view
 def set_status(state: dict, order_id: str, status: str,
                now: float) -> dict:
     """Advance an order through the lifecycle state machine.
@@ -72,37 +75,39 @@ def set_status(state: dict, order_id: str, status: str,
     Unknown orders raise KeyError; hops not in ``TRANSITIONS`` raise
     :class:`~repro.marketplace.logic.lifecycle.IllegalTransition`.
     """
-    orders = dict(state["orders"])
+    orders = state["orders"]
     if order_id not in orders:
         raise KeyError(f"unknown order {order_id!r}")
     orders[order_id] = lifecycle.advance(orders[order_id], status, now)
-    return {**state, "orders": orders}
+    return state
 
 
+@updates_view
 def record_shipment(state: dict, order_id: str, package_count: int,
                     now: float) -> dict:
     """Mark the order in transit with ``package_count`` packages."""
-    orders = dict(state["orders"])
+    orders = state["orders"]
     order = lifecycle.advance(orders[order_id], OrderStatus.IN_TRANSIT, now)
     order["packages_total"] = package_count
     orders[order_id] = order
-    return {**state, "orders": orders}
+    return state
 
 
+@updates_view
 def record_delivery(state: dict, order_id: str, now: float) -> tuple[dict,
                                                                      bool]:
     """Record one delivered package; returns (state, order completed?)."""
-    orders = dict(state["orders"])
-    order = dict(orders[order_id])
+    orders = state["orders"]
+    order = orders[order_id]
     order["packages_delivered"] += 1
     completed = (order["packages_total"] > 0
                  and order["packages_delivered"] >= order["packages_total"])
     if completed and order["status"] != OrderStatus.COMPLETED:
-        order = lifecycle.advance(order, OrderStatus.COMPLETED, now)
+        orders[order_id] = lifecycle.advance(order, OrderStatus.COMPLETED,
+                                             now)
     else:
         order["updated_at"] = now
-    orders[order_id] = order
-    return {**state, "orders": orders}, completed
+    return state, completed
 
 
 def in_progress_orders(state: dict) -> list[dict]:

@@ -10,7 +10,7 @@ payment events — which is what makes the two reads able to diverge.
 
 from __future__ import annotations
 
-from repro.cow import peek, scan_values
+from repro.cow import peek, scan_values, updates_view
 from repro.marketplace.constants import OrderStatus
 
 
@@ -31,40 +31,39 @@ def seller_share_cents(order: dict, seller_id: int) -> int:
     return share
 
 
+@updates_view
 def upsert_entry(state: dict, order: dict) -> dict:
     """Insert/update the dashboard entry for an in-progress order."""
     seller_id = state["seller_id"]
     amount = seller_share_cents(order, seller_id)
     if amount == 0:
         return state
-    entries = dict(state["entries"])
-    entries[order["order_id"]] = {
+    state["entries"][order["order_id"]] = {
         "order_id": order["order_id"],
         "customer_id": order["customer_id"],
         "status": order["status"],
         "amount_cents": amount,
         "updated_at": order["updated_at"],
     }
-    return {**state, "entries": entries}
+    return state
 
 
+@updates_view
 def update_entry_status(state: dict, order_id: str, status: str,
                         now: float) -> dict:
     """Track a status change; terminal statuses retire the entry."""
-    entries = dict(state["entries"])
-    entry = entries.get(order_id)
+    entries = state["entries"]
+    entry = peek(entries, order_id)
     if entry is None:
         return state
     if status in OrderStatus.IN_PROGRESS:
         entries[order_id] = {**entry, "status": status, "updated_at": now}
-        return {**state, "entries": entries}
-    retired = entries.pop(order_id)
-    new_state = {**state, "entries": entries}
+        return state
+    del entries[order_id]
     if status == OrderStatus.COMPLETED:
-        new_state["revenue_cents"] = (state["revenue_cents"]
-                                      + retired["amount_cents"])
-        new_state["deliveries"] = state["deliveries"] + 1
-    return new_state
+        state["revenue_cents"] += entry["amount_cents"]
+        state["deliveries"] += 1
+    return state
 
 
 def record_return(state: dict, amount_cents: int) -> dict:

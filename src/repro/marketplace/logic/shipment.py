@@ -8,19 +8,26 @@ sets their respective oldest order's packages as delivered".
 
 from __future__ import annotations
 
-from repro.cow import peek, scan_values
+from repro.cow import peek, scan_items, scan_values, updates_view
 from repro.marketplace.constants import PackageStatus
 
 
 def new_shipments() -> dict:
-    """State of a shipment manager partition."""
-    return {"shipments": {}, "next_package": 1}
+    """State of a shipment manager partition.
+
+    ``pending`` indexes the undelivered packages: seller ->
+    ``{package_id: (shipped_at, order_id)}`` in shipping order, so the
+    delivery queries never walk the packages already delivered.
+    """
+    return {"shipments": {}, "next_package": 1, "pending": {}}
 
 
+@updates_view
 def create_shipment(state: dict, order_id: str, customer_id: int,
                     items: list[dict], now: float) -> tuple[dict, dict]:
     """Create one package per seller for the order's items."""
-    if order_id in state["shipments"]:
+    shipments = state["shipments"]
+    if order_id in shipments:
         raise ValueError(f"shipment for {order_id!r} already exists")
     if not items:
         raise ValueError("cannot ship an order without items")
@@ -29,6 +36,7 @@ def create_shipment(state: dict, order_id: str, customer_id: int,
     by_seller: dict[int, list[dict]] = {}
     for item in items:
         by_seller.setdefault(item["seller_id"], []).append(dict(item))
+    pending = state["pending"]
     for seller_id in sorted(by_seller):
         package_id = f"pkg-{next_package:08d}"
         next_package += 1
@@ -41,46 +49,23 @@ def create_shipment(state: dict, order_id: str, customer_id: int,
             "shipped_at": now,
             "delivered_at": None,
         }
+        if seller_id in pending:
+            pending[seller_id][package_id] = (now, order_id)
+        else:
+            pending[seller_id] = {package_id: (now, order_id)}
     shipment = {"order_id": order_id, "customer_id": customer_id,
                 "packages": packages, "created_at": now}
-    shipments = dict(state["shipments"])
     shipments[order_id] = shipment
-    new_state = {**state, "shipments": shipments,
-                 "next_package": next_package}
-    return new_state, shipment
-
-
-def _iter_packages(state: dict):
-    """Yield every package dict in the partition, copy-free.
-
-    Read-only scan over the whole partition: peek/scan_values walk the
-    frozen state directly instead of wrapping every shipment and
-    package in a copy-on-write view just to compare atoms.  Untouched
-    sub-trees are plain dicts, so the common all-clean case iterates
-    raw dict values with no generator helpers in between.
-    """
-    shipments = peek(state, "shipments")
-    ship_iter = (shipments.values() if type(shipments) is dict
-                 else scan_values(shipments))
-    for shipment in ship_iter:
-        packages = peek(shipment, "packages")
-        if type(packages) is dict:
-            yield from packages.values()
-        else:
-            yield from scan_values(packages)
+    state["next_package"] = next_package
+    return state, shipment
 
 
 def undelivered_seller_times(state: dict) -> list[tuple[int, float]]:
     """(seller, earliest undelivered ship time) pairs for this partition."""
-    first_seen: dict[int, float] = {}
-    delivered = PackageStatus.DELIVERED
-    for package in _iter_packages(state):
-        if package["status"] != delivered:
-            seller = package["seller_id"]
-            when = package["shipped_at"]
-            if seller not in first_seen or when < first_seen[seller]:
-                first_seen[seller] = when
-    return sorted(first_seen.items(), key=lambda item: (item[1], item[0]))
+    first_seen = [
+        (seller, min(when for when, _ in scan_values(packages)))
+        for seller, packages in scan_items(peek(state, "pending"))]
+    return sorted(first_seen, key=lambda item: (item[1], item[0]))
 
 
 def undelivered_sellers(state: dict, limit: int = 10) -> list[int]:
@@ -91,28 +76,30 @@ def undelivered_sellers(state: dict, limit: int = 10) -> list[int]:
 
 def oldest_undelivered_package(state: dict,
                                seller_id: int) -> dict | None:
-    """The seller's oldest package not yet delivered (or None)."""
-    best = None
-    delivered = PackageStatus.DELIVERED
-    for package in _iter_packages(state):
-        if (package["seller_id"] == seller_id
-                and package["status"] != delivered):
-            if best is None or package["shipped_at"] < best["shipped_at"]:
-                best = package
-    # The winner may be a frozen committed package: hand back a copy so
+    """The seller's oldest package not yet delivered (or None).
+
+    Of packages shipped at the same time, the first shipped wins.
+    """
+    packages = peek(peek(state, "pending"), seller_id)
+    if not packages:
+        return None
+    package_id, (_, order_id) = min(scan_items(packages),
+                                    key=lambda item: item[1][0])
+    shipment = peek(peek(state, "shipments"), order_id)
+    # The package may be frozen committed state: hand back a copy so
     # callers cannot reach engine-owned state through the result.
-    return dict(best) if best is not None else None
+    return dict(peek(peek(shipment, "packages"), package_id))
 
 
+@updates_view
 def mark_delivered(state: dict, order_id: str, package_id: str,
                    now: float) -> tuple[dict, dict]:
     """Set one package delivered; returns (state, updated package)."""
-    shipments = dict(state["shipments"])
-    shipment = shipments.get(order_id)
+    shipment = state["shipments"].get(order_id)
     if shipment is None:
         raise KeyError(f"no shipment for order {order_id!r}")
-    packages = dict(shipment["packages"])
-    package = packages.get(package_id)
+    packages = shipment["packages"]
+    package = peek(packages, package_id)
     if package is None:
         raise KeyError(f"no package {package_id!r} in order {order_id!r}")
     if package["status"] == PackageStatus.DELIVERED:
@@ -120,8 +107,11 @@ def mark_delivered(state: dict, order_id: str, package_id: str,
     package = {**package, "status": PackageStatus.DELIVERED,
                "delivered_at": now}
     packages[package_id] = package
-    shipments[order_id] = {**shipment, "packages": packages}
-    return {**state, "shipments": shipments}, package
+    seller_pending = state["pending"][package["seller_id"]]
+    del seller_pending[package_id]
+    if not seller_pending:
+        del state["pending"][package["seller_id"]]
+    return state, package
 
 
 def package_count(state: dict, order_id: str) -> int:

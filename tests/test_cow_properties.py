@@ -187,6 +187,38 @@ def test_scan_observes_overlay_mutations(base, program):
             for key, value in scan_items(view)} == materialize(view)
 
 
+#: Programs over a handful of keys, so writes, deletes, re-adds of
+#: deleted base keys and brand-new keys all hit the same names.
+few_keys = st.sampled_from(["a", "b", "c", "d", "e", "f"])
+keyed_states = st.dictionaries(few_keys, setless_trees, max_size=4)
+keyed_mutations = st.lists(
+    st.tuples(st.sampled_from(["set", "del", "nest"]), few_keys,
+              setless_trees),
+    max_size=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keyed_states, keyed_mutations)
+def test_materialize_keeps_key_order_and_contents(base, program):
+    """Base keys keep their base positions (also when deleted and
+    re-added); keys new to the base follow in the order a plain dict
+    would hold them; nested dicts keep plain-dict order."""
+    reference = copy.deepcopy(base)
+    view = CowState(base)
+    apply_program(view, program)
+    apply_program(reference, program)
+    result = materialize(view)
+    assert result == reference
+    expected = ([key for key in base if key in reference]
+                + [key for key in reference if key not in base])
+    assert list(result) == expected
+    assert list(result) == list(view)
+    for key, value in result.items():
+        if type(value) is dict:
+            assert list(value) == list(reference[key])
+
+
 # ---------------------------------------------------------------------------
 # participant-level isolation (read / write / commit / abort)
 # ---------------------------------------------------------------------------
